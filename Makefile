@@ -59,7 +59,7 @@ SOAK_INGEST_OUT ?= soak-ingest-report.json
 .PHONY: all build test vet fmt-check race bench bench-smoke bench-gate alloc-gate \
 	flight-overhead-gate staticcheck paper trace serve-debug clean \
 	testkit testkit-update test-shuffle cover fuzz-smoke serve-batch-smoke chaos soak \
-	soak-ingest lifecycle-sim
+	soak-ingest lifecycle-sim perfbench-check
 
 all: build test
 
@@ -87,6 +87,13 @@ race:
 		./internal/experiments ./internal/obs ./internal/obs/flight \
 		./internal/server ./internal/resilience ./internal/loadgen \
 		./internal/ingest ./internal/warehouse ./internal/lifecycle
+
+# The benchmark under perfbench/ is a Go module of its own (it imports
+# this one through a replace directive), so `go build ./...` and `make
+# test` never compile it. Vet and test it against the current tree, so
+# an API change in core or server cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The full correctness harness: golden corpus, metamorphic invariants,
 # edge-case/equivalence suites, and fuzz seed-corpus replay. -count=1

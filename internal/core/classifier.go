@@ -181,6 +181,15 @@ func indexRange(n int) []int {
 // Classes returns the class vocabulary.
 func (c *JobClassifier) Classes() []string { return c.model.Classes() }
 
+// FeatureNames returns the classifier's feature names in vector order.
+func (c *JobClassifier) FeatureNames() []string { return c.Features }
+
+// Identity names the classifier on wide events: its algorithm and
+// whether it serves through the compiled engine.
+func (c *JobClassifier) Identity() (algo string, compiled bool) {
+	return string(c.Algo), c.IsCompiled()
+}
+
 // PredictProb scales a raw feature row and returns the winning class index
 // and the posterior vector (satisfies eval.ProbClassifier). The compiled
 // and interpreted paths return byte-identical results; the returned

@@ -257,11 +257,13 @@ func TestDiscoveryManagerSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dm.Swap(alien); !errors.Is(err, ErrSchemaMismatch) {
-		t.Fatalf("schema mismatch not rejected: %v", err)
+	// Rejected swaps report the generation still serving, as
+	// ModelManager.Swap does.
+	if gen, err := dm.Swap(alien); !errors.Is(err, ErrSchemaMismatch) || gen != 2 {
+		t.Fatalf("schema mismatch: gen=%d err=%v, want gen 2 and ErrSchemaMismatch", gen, err)
 	}
-	if _, err := dm.Swap(nil); err == nil {
-		t.Fatal("nil model accepted")
+	if gen, err := dm.Swap(nil); err == nil || gen != 2 {
+		t.Fatalf("nil swap: gen=%d err=%v, want gen 2 and an error", gen, err)
 	}
 	if got := dm.View(); got.Model != m2 || got.Generation != 2 {
 		t.Fatal("rejected swaps perturbed the serving view")

@@ -104,9 +104,9 @@ func NewActive(id, method, path string, start time.Time) *Active {
 	return &Active{Event: Event{ID: id, Method: method, Path: path, Time: start}}
 }
 
-// Timer exposes the event's row timer for fan-out plumbing
-// (parallel.ForEachCtxTimed takes a *parallel.Timer, which is itself
-// nil-safe, so a nil *Active degrades to an untimed fan-out).
+// Timer exposes the event's row timer, which every row of a request
+// observes its inference time into (a *parallel.Timer is itself
+// nil-safe, so a nil *Active degrades to an untimed request).
 func (a *Active) Timer() *parallel.Timer {
 	if a == nil {
 		return nil

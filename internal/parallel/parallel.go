@@ -157,18 +157,6 @@ func (t *Timer) Count() int64 {
 	return t.n.Load()
 }
 
-// ForEachCtxTimed is ForEachCtx with per-task timing: each task's wall
-// time (successful or not) is observed into timer, so callers get the
-// summed compute cost of a fan-out without threading stopwatches through
-// every closure. timer may be nil.
-func ForEachCtxTimed(ctx context.Context, workers, n int, timer *Timer, fn func(ctx context.Context, i int) error) error {
-	return ForEachCtx(ctx, workers, n, func(ctx context.Context, i int) error {
-		start := time.Now()
-		defer func() { timer.Observe(time.Since(start)) }()
-		return fn(ctx, i)
-	})
-}
-
 // Workers resolves a worker-count knob: values <= 0 mean GOMAXPROCS.
 func Workers(n int) int {
 	if n <= 0 {

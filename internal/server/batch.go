@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs/flight"
 	"repro/internal/parallel"
-	"repro/internal/resilience"
 )
 
 // rowError maps a failed row classification (single or batch) to its
@@ -95,7 +94,7 @@ type batchResponse struct {
 
 // batchBadRequest counts and writes a batch-level validation failure.
 func (s *Server) batchBadRequest(w http.ResponseWriter, format string, args ...any) {
-	s.classifyOutcome("bad_request")
+	s.outcome(classifyEndpoint.rowKind, "bad_request")
 	s.writeError(w, http.StatusBadRequest, format, args...)
 }
 
@@ -149,26 +148,12 @@ func resolveColumns(v *core.ModelView, cols map[string][]float64) (rows [][]floa
 // generation even if a hot-swap lands mid-request.
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	v := s.models.View()
-	if v == nil {
-		s.classifyOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no classifier loaded")
-		return
-	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.classifyOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.batchBadRequest(w, "bad request body: %v", err)
+	if !decodeRow(s, w, r, classifyEndpoint.rowKind, v, noClassifier, maxBatchBody, &req) {
 		return
 	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		s.batchBadRequest(w, "threshold must be in [0,1]")
+	if err := checkThreshold(req.Threshold); err != nil {
+		s.batchBadRequest(w, "%v", err)
 		return
 	}
 	if len(req.Rows) > 0 && len(req.Columns) > 0 {
@@ -196,7 +181,6 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			row, def, unknown := resolveRow(v, features)
 			if len(unknown) > 0 {
-				sort.Strings(unknown)
 				s.batchBadRequest(w, "row %d: unknown features: %v", i, unknown)
 				return
 			}
@@ -227,10 +211,10 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	// All-or-nothing fan-out: rows share the request context, so an
 	// expired deadline (or an isolated row panic) fails the whole batch
 	// with one error response -- a batch never returns partial results.
-	// The timed variant sums per-row inference time into the request's
-	// wide event across however many goroutines the pool spreads over.
+	// Each row's inference time lands in the request's wide event across
+	// however many goroutines the pool spreads over.
 	results := make([]classifyResult, len(rows))
-	err := parallel.ForEachCtxTimed(r.Context(), s.batchWorkers, len(rows), flight.From(r.Context()).Timer(), func(ctx context.Context, i int) error {
+	err := parallel.ForEachCtx(r.Context(), s.batchWorkers, len(rows), func(ctx context.Context, i int) error {
 		res, err := s.classifyRow(ctx, v, rows[i], defaulted[i], req.Threshold)
 		if err != nil {
 			return err
@@ -281,16 +265,8 @@ func (s *Server) handleModelReload(w http.ResponseWriter, r *http.Request) {
 	gen, err := s.ReloadModel(req.Path)
 	if err != nil {
 		s.log.Warn("model reload failed", "path", req.Path, "err", err)
-		switch {
-		case errors.Is(err, resilience.ErrBreakerOpen):
-			w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
-			s.writeError(w, http.StatusServiceUnavailable,
-				"model reload breaker open after repeated failures: %v", err)
-		case errors.Is(err, core.ErrSchemaMismatch):
-			s.writeError(w, http.StatusConflict, "model rejected: %v", err)
-		default:
-			s.writeError(w, http.StatusBadRequest, "model reload failed: %v", err)
-		}
+		s.controlError(w, err, errors.Is(err, core.ErrSchemaMismatch), http.StatusBadRequest,
+			"model reload breaker open", "model rejected", "model reload failed")
 		return
 	}
 	v := s.models.View()

@@ -3,14 +3,13 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs/flight"
-	"repro/internal/resilience"
 )
 
 // This file serves the unknown-app discovery and runtime-class workload
@@ -38,51 +37,25 @@ func WithRuntimeManager(mm *core.ModelManager) Option {
 	return func(s *Server) { s.runtime = mm }
 }
 
-// Discovery exposes the server's discovery manager.
-func (s *Server) Discovery() *core.DiscoveryManager { return s.discovery }
-
-// RuntimeModels exposes the server's runtime-class model manager.
-func (s *Server) RuntimeModels() *core.ModelManager { return s.runtime }
-
-func (s *Server) discoverOutcome(outcome string) {
-	s.metrics.Counter("discover_assign_outcomes_total", "outcome", outcome).Inc()
-}
-
-func (s *Server) runtimeOutcome(outcome string) {
-	s.metrics.Counter("runtime_class_outcomes_total", "outcome", outcome).Inc()
-}
-
-// clusterJSON is one served cluster summary; Center keys encode sorted
-// (encoding/json orders map keys), so responses are byte-deterministic.
-type clusterJSON struct {
-	ID            int                     `json:"id"`
-	Size          int                     `json:"size"`
-	Share         float64                 `json:"share"`
-	Anomalous     bool                    `json:"anomalous"`
-	MeanDistance  float64                 `json:"meanDistance"`
-	Center        map[string]float64      `json:"center"`
-	TopDeviations []core.FeatureDeviation `json:"topDeviations"`
-}
+// The 503 messages of the discovery and runtime-class endpoints.
+const (
+	noDiscoveryFit = "no discovery fit loaded"
+	noRuntimeModel = "no runtime-class model loaded"
+)
 
 // handleDiscoverGet reports the serving discovery fit: the cluster
 // table, the explained-variance curve (read the knee to see how many
 // directions the unlabeled population spans), and the anomaly
-// threshold.
+// threshold. Cluster Center keys encode sorted (encoding/json orders map
+// keys), so responses are byte-deterministic.
 func (s *Server) handleDiscoverGet(w http.ResponseWriter, r *http.Request) {
 	v := s.discovery.View()
 	if v == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no discovery fit loaded")
+		s.writeError(w, http.StatusServiceUnavailable, "%s", noDiscoveryFit)
 		return
 	}
 	v.Annotate(flight.From(r.Context()))
 	m := v.Model
-	clusters := make([]clusterJSON, len(m.Clusters))
-	for i, c := range m.Clusters {
-		clusters[i] = clusterJSON{
-			ID: c.ID, Size: c.Size, Share: c.Share, Anomalous: c.Anomalous,
-			MeanDistance: c.MeanDistance, Center: c.Center, TopDeviations: c.TopDeviations,
-		}
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"generation":        v.Generation,
 		"k":                 m.K,
@@ -92,7 +65,7 @@ func (s *Server) handleDiscoverGet(w http.ResponseWriter, r *http.Request) {
 		"explainedVariance": m.ExplainedVariance,
 		"anomalyDistance":   m.AnomalyDistance,
 		"inertia":           m.Inertia,
-		"clusters":          clusters,
+		"clusters":          m.Clusters,
 	})
 }
 
@@ -127,16 +100,8 @@ func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.log.Warn("discovery refit failed", "err", err)
-		switch {
-		case errors.Is(err, resilience.ErrBreakerOpen):
-			w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
-			s.writeError(w, http.StatusServiceUnavailable,
-				"refit breaker open after repeated failures: %v", err)
-		case errors.Is(err, core.ErrSchemaMismatch):
-			s.writeError(w, http.StatusConflict, "refit rejected: %v", err)
-		default:
-			s.writeError(w, http.StatusBadRequest, "discovery refit failed: %v", err)
-		}
+		s.controlError(w, err, errors.Is(err, core.ErrSchemaMismatch), http.StatusBadRequest,
+			"refit breaker open", "refit rejected", "discovery refit failed")
 		return
 	}
 	v := s.discovery.View()
@@ -150,29 +115,23 @@ func (s *Server) handleDiscoverRefit(w http.ResponseWriter, r *http.Request) {
 
 // RefitDiscovery fits PCA + k-means over the warehouse's current
 // unlabeled population and swaps the result in, through the shared
-// control-plane breaker and the discover.fit fault site. SIGHUP-driven
-// refits and the admin endpoint both route here.
+// control-plane breaker and the discover.fit fault site. The admin
+// endpoint (POST /api/discover) routes here.
 func (s *Server) RefitDiscovery(cfg core.DiscoveryConfig) (uint64, error) {
-	if err := s.breaker.Allow(); err != nil {
-		s.metrics.Counter("model_breaker_rejections_total").Inc()
-		return s.discovery.Generation(), err
-	}
-	gen, err := s.refitOnce(cfg)
-	s.breaker.Record(err)
+	gen := s.discovery.Generation()
+	err := s.controlGuard(func() error {
+		if err := s.faults.Inject(FaultDiscoverFit); err != nil {
+			return err
+		}
+		opt := core.DefaultFeatures()
+		m, err := core.FitDiscovery(core.UnlabeledRows(s.store, opt), core.FeatureNames(opt), cfg)
+		if err != nil {
+			return err
+		}
+		gen, err = s.discovery.Swap(m)
+		return err
+	})
 	return gen, err
-}
-
-func (s *Server) refitOnce(cfg core.DiscoveryConfig) (uint64, error) {
-	if err := s.faults.Inject(FaultDiscoverFit); err != nil {
-		return s.discovery.Generation(), err
-	}
-	opt := core.DefaultFeatures()
-	rows := core.UnlabeledRows(s.store, opt)
-	m, err := core.FitDiscovery(rows, core.FeatureNames(opt), cfg)
-	if err != nil {
-		return s.discovery.Generation(), err
-	}
-	return s.discovery.Swap(m)
 }
 
 // assignRequest scores one job against the discovery fit.
@@ -180,95 +139,35 @@ type assignRequest struct {
 	Features map[string]float64 `json:"features"`
 }
 
-// handleDiscoverAssign scores one job row against the serving discovery
-// fit: which discovered cluster it belongs to, how far from the center
-// it sits, and whether that distance (or the cluster itself) is
-// anomalous. Mirrors handleClassify's contract: 503 with no fit, 400
-// for malformed/unknown features, 504 past the deadline.
-func (s *Server) handleDiscoverAssign(w http.ResponseWriter, r *http.Request) {
-	v := s.discovery.View()
-	if v == nil {
-		s.discoverOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no discovery fit loaded")
-		return
-	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
-	var req assignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.discoverOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
+func (q assignRequest) featureMap() map[string]float64 { return q.Features }
+
+type assignCall = rowCall[*core.DiscoveryModel, assignRequest]
+
+// assignEndpoint is POST /api/discover/assign: which discovered cluster
+// a job row belongs to, how far from the center it sits, and whether
+// that distance (or the cluster itself) is anomalous.
+var assignEndpoint = &rowEndpoint[*core.DiscoveryModel, assignRequest, *core.Assignment]{
+	rowKind: rowKind{"discover_assign_outcomes_total", FaultDiscoverAssign, "discover_assign_seconds"},
+	noModel: noDiscoveryFit,
+	view:    func(s *Server) *core.DiscoveryView { return s.discovery.View() },
+	infer: func(c *assignCall) (*core.Assignment, string, error) {
+		a, err := c.view.Model.Assign(c.row)
+		if err == nil && a.Anomalous {
+			return a, "anomalous", nil
 		}
-		s.discoverOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Features) == 0 {
-		s.discoverOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "empty or missing features map")
-		return
-	}
-	row := make([]float64, v.NumFeatures())
-	defaulted := []string{}
-	var unknown []string
-	for name, val := range req.Features {
-		idx, ok := v.FeatureIndex(name)
-		if !ok {
-			unknown = append(unknown, name)
-			continue
+		return a, "assigned", err
+	},
+	respond: func(c *assignCall, a *core.Assignment) any {
+		return map[string]any{
+			"cluster":          a.Cluster,
+			"distance":         a.Distance,
+			"anomalous":        a.Anomalous,
+			"clusterAnomalous": a.ClusterAnomalous,
+			"projection":       a.Projection,
+			"generation":       c.view.Generation,
+			"defaulted":        c.defaulted,
 		}
-		row[idx] = val
-	}
-	for _, name := range v.Model.Features {
-		if _, ok := req.Features[name]; !ok {
-			defaulted = append(defaulted, name)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		s.discoverOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "unknown features: %v", unknown)
-		return
-	}
-	if fired, err := s.faults.InjectReport(FaultDiscoverAssign); fired {
-		flight.From(r.Context()).MarkFault()
-		if err != nil {
-			s.discoverOutcome("error")
-			s.rowError(w, r, err)
-			return
-		}
-	}
-	if err := r.Context().Err(); err != nil {
-		s.discoverOutcome("timeout")
-		s.rowError(w, r, err)
-		return
-	}
-	start := time.Now()
-	a, err := v.Model.Assign(row)
-	s.metrics.Histogram("discover_assign_seconds", rowLatencyBuckets()).ObserveDuration(start)
-	flight.From(r.Context()).Timer().Observe(time.Since(start))
-	if err != nil {
-		s.discoverOutcome("error")
-		s.rowError(w, r, err)
-		return
-	}
-	if a.Anomalous {
-		s.discoverOutcome("anomalous")
-	} else {
-		s.discoverOutcome("assigned")
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"cluster":          a.Cluster,
-		"distance":         a.Distance,
-		"anomalous":        a.Anomalous,
-		"clusterAnomalous": a.ClusterAnomalous,
-		"projection":       a.Projection,
-		"generation":       v.Generation,
-		"defaulted":        defaulted,
-	})
+	},
 }
 
 // runtimeRequest asks for a submit-time runtime/outcome class. The
@@ -281,121 +180,67 @@ type runtimeRequest struct {
 	Thresholds map[string]float64 `json:"thresholds"`
 }
 
-// handleRuntimeFeatures reports the runtime-class model's schema so
-// clients (and the load generator) can build valid request bodies.
-func (s *Server) handleRuntimeFeatures(w http.ResponseWriter, r *http.Request) {
-	v := s.runtime.View()
-	if v == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no runtime-class model loaded")
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"algorithm":  v.Model.Algo,
-		"features":   v.Model.Features,
-		"classes":    v.Model.Classes(),
-		"generation": v.Generation,
-		"compiled":   v.Compiled(),
-	})
+func (q runtimeRequest) featureMap() map[string]float64 { return q.Features }
+
+type runtimeCall = rowCall[*core.JobClassifier, runtimeRequest]
+
+// runtimeAnswer is one runtime-class inference: the winning class
+// index, the posterior vector, and the thresholded verdict.
+type runtimeAnswer struct {
+	pred       int
+	probs      []float64
+	classified bool
 }
 
-// handleRuntimeClass predicts a job's runtime/outcome class at submit
-// time from whatever features the client has (missing ones default to 0
-// and are reported back). The full per-class probability vector is
-// returned so scheduler-side policies can apply their own decision
-// rules beyond the thresholded verdict.
-func (s *Server) handleRuntimeClass(w http.ResponseWriter, r *http.Request) {
-	v := s.runtime.View()
-	if v == nil {
-		s.runtimeOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no runtime-class model loaded")
-		return
-	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
-	var req runtimeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.runtimeOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
+// runtimeEndpoint is POST /api/runtime-class: a job's runtime/outcome
+// class at submit time from whatever features the client has (missing
+// ones default to 0 and are reported back). The full per-class
+// probability vector is returned so scheduler-side policies can apply
+// their own decision rules beyond the thresholded verdict.
+var runtimeEndpoint = &rowEndpoint[*core.JobClassifier, runtimeRequest, runtimeAnswer]{
+	rowKind: rowKind{"runtime_class_outcomes_total", FaultRuntimeRow, "runtime_class_row_seconds"},
+	noModel: noRuntimeModel,
+	view:    func(s *Server) *core.ModelView { return s.runtime.View() },
+	validate: func(c *runtimeCall) error {
+		if err := checkThreshold(c.req.Threshold); err != nil {
+			return err
 		}
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "threshold must be in [0,1]")
-		return
-	}
-	classes := v.Model.Classes()
-	known := make(map[string]bool, len(classes))
-	for _, c := range classes {
-		known[c] = true
-	}
-	for name, t := range req.Thresholds {
-		if !known[name] {
-			s.runtimeOutcome("bad_request")
-			s.writeError(w, http.StatusBadRequest, "unknown class %q in thresholds (classes: %v)", name, classes)
-			return
+		classes := c.view.Model.Classes()
+		for name, t := range c.req.Thresholds {
+			if !slices.Contains(classes, name) {
+				return fmt.Errorf("unknown class %q in thresholds (classes: %v)", name, classes)
+			}
+			if t < 0 || t > 1 {
+				return fmt.Errorf("thresholds[%q] must be in [0,1]", name)
+			}
 		}
-		if t < 0 || t > 1 {
-			s.runtimeOutcome("bad_request")
-			s.writeError(w, http.StatusBadRequest, "thresholds[%q] must be in [0,1]", name)
-			return
+		return nil
+	},
+	infer: func(c *runtimeCall) (runtimeAnswer, string, error) {
+		pred, probs := c.view.Model.PredictProb(c.row)
+		threshold := c.req.Threshold
+		if t, ok := c.req.Thresholds[c.view.Model.Classes()[pred]]; ok {
+			threshold = t
 		}
-	}
-	if len(req.Features) == 0 {
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "empty or missing features map")
-		return
-	}
-	row, defaulted, unknownFeats := resolveRow(v, req.Features)
-	if len(unknownFeats) > 0 {
-		sort.Strings(unknownFeats)
-		s.runtimeOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "unknown features: %v", unknownFeats)
-		return
-	}
-	if fired, err := s.faults.InjectReport(FaultRuntimeRow); fired {
-		flight.From(r.Context()).MarkFault()
-		if err != nil {
-			s.runtimeOutcome("error")
-			s.rowError(w, r, err)
-			return
+		a := runtimeAnswer{pred: pred, probs: probs, classified: probs[pred] >= threshold}
+		if a.classified {
+			return a, "classified", nil
 		}
-	}
-	if err := r.Context().Err(); err != nil {
-		s.runtimeOutcome("timeout")
-		s.rowError(w, r, err)
-		return
-	}
-	start := time.Now()
-	pred, probs := v.Model.PredictProb(row)
-	s.metrics.Histogram("runtime_class_row_seconds", rowLatencyBuckets()).ObserveDuration(start)
-	flight.From(r.Context()).Timer().Observe(time.Since(start))
-	label := classes[pred]
-	threshold := req.Threshold
-	if t, ok := req.Thresholds[label]; ok {
-		threshold = t
-	}
-	classified := probs[pred] >= threshold
-	if classified {
-		s.runtimeOutcome("classified")
-	} else {
-		s.runtimeOutcome("below_threshold")
-	}
-	probabilities := make(map[string]float64, len(classes))
-	for i, c := range classes {
-		probabilities[c] = probs[i]
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"class":         label,
-		"probability":   probs[pred],
-		"classified":    classified,
-		"probabilities": probabilities,
-		"generation":    v.Generation,
-		"defaulted":     defaulted,
-	})
+		return a, "below_threshold", nil
+	},
+	respond: func(c *runtimeCall, a runtimeAnswer) any {
+		classes := c.view.Model.Classes()
+		probabilities := make(map[string]float64, len(classes))
+		for i, class := range classes {
+			probabilities[class] = a.probs[i]
+		}
+		return map[string]any{
+			"class":         classes[a.pred],
+			"probability":   a.probs[a.pred],
+			"classified":    a.classified,
+			"probabilities": probabilities,
+			"generation":    c.view.Generation,
+			"defaulted":     c.defaulted,
+		}
+	},
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"repro/internal/lifecycle"
-	"repro/internal/resilience"
 )
 
 // lifecycleSetup carries the WithLifecycle arguments until New has
@@ -96,86 +95,29 @@ func (s *Server) Lifecycle() *lifecycle.Loop { return s.lifecycle }
 // lifecycle is disabled or the caller supplied its own Notify.
 func (s *Server) LifecycleNotify() <-chan struct{} { return s.lifecycleCh }
 
-// requireLifecycle answers 503 when the loop is not armed.
-func (s *Server) requireLifecycle(w http.ResponseWriter) *lifecycle.Loop {
-	if s.lifecycle == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "lifecycle loop not enabled")
-		return nil
+// lifecycleOp serves one lifecycle endpoint: 503 while the loop is not
+// armed, otherwise run op (nil for a plain status read) and answer the
+// loop's status, or map the failure (unmet preconditions are 409s,
+// other failures 500s). A promotion-gate rejection is a
+// successful request — the decision (with its reason) comes back in the
+// status; only control-plane failures are errors.
+func (s *Server) lifecycleOp(name string, op func(*lifecycle.Loop) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		l := s.lifecycle
+		if l == nil {
+			s.writeError(w, http.StatusServiceUnavailable, "lifecycle loop not enabled")
+			return
+		}
+		if op != nil {
+			if err := op(l); err != nil {
+				s.log.Warn("lifecycle "+name+" failed", "err", err)
+				conflict := errors.Is(err, lifecycle.ErrNoTrainer) ||
+					errors.Is(err, lifecycle.ErrNoChallenger) || errors.Is(err, lifecycle.ErrNoHistory)
+				s.controlError(w, err, conflict, http.StatusInternalServerError,
+					"control-plane breaker open", "lifecycle "+name, "lifecycle "+name+" failed")
+				return
+			}
+		}
+		s.writeJSON(w, http.StatusOK, l.Status())
 	}
-	return s.lifecycle
-}
-
-// handleLifecycleStatus serves GET /api/lifecycle: the loop's full
-// state snapshot (state machine, drift statistics, shadow ledger,
-// transitions, last promotion decision).
-func (s *Server) handleLifecycleStatus(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
-}
-
-// lifecycleOpError maps a control-plane operation failure onto an HTTP
-// status: breaker-open fails fast with Retry-After, precondition
-// failures are conflicts, anything else is a 500.
-func (s *Server) lifecycleOpError(w http.ResponseWriter, op string, err error) {
-	s.log.Warn("lifecycle "+op+" failed", "err", err)
-	switch {
-	case errors.Is(err, resilience.ErrBreakerOpen):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
-		s.writeError(w, http.StatusServiceUnavailable,
-			"control-plane breaker open after repeated failures: %v", err)
-	case errors.Is(err, lifecycle.ErrNoTrainer),
-		errors.Is(err, lifecycle.ErrNoChallenger),
-		errors.Is(err, lifecycle.ErrNoHistory):
-		s.writeError(w, http.StatusConflict, "lifecycle %s: %v", op, err)
-	default:
-		s.writeError(w, http.StatusInternalServerError, "lifecycle %s failed: %v", op, err)
-	}
-}
-
-// handleLifecycleRetrain serves POST /admin/lifecycle/retrain: force a
-// challenger retrain (drift need not have fired). On success the loop
-// is shadowing the fresh challenger.
-func (s *Server) handleLifecycleRetrain(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	if err := l.Retrain(); err != nil {
-		s.lifecycleOpError(w, "retrain", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
-}
-
-// handleLifecyclePromote serves POST /admin/lifecycle/promote: run the
-// promotion gate now. A gate rejection is a successful request — the
-// decision (with its reason) comes back in the status; only
-// control-plane failures are errors.
-func (s *Server) handleLifecyclePromote(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	if err := l.Decide(); err != nil {
-		s.lifecycleOpError(w, "promote", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
-}
-
-// handleLifecycleRollback serves POST /admin/lifecycle/rollback: swap
-// the pre-promotion champion back in (one generation of history).
-func (s *Server) handleLifecycleRollback(w http.ResponseWriter, r *http.Request) {
-	l := s.requireLifecycle(w)
-	if l == nil {
-		return
-	}
-	if err := l.Rollback(); err != nil {
-		s.lifecycleOpError(w, "rollback", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, l.Status())
 }

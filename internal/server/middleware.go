@@ -198,12 +198,6 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 	})
 }
 
-// classifyOutcome counts classification endpoint outcomes: classified,
-// below_threshold, bad_request, oversized, no_model.
-func (s *Server) classifyOutcome(outcome string) {
-	s.metrics.Counter("classify_outcomes_total", "outcome", outcome).Inc()
-}
-
 // mountDebug registers the optional /metrics and /debug/pprof routes and
 // pre-declares the HTTP metric families so /metrics carries HELP text
 // before the first request lands.

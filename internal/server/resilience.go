@@ -186,18 +186,30 @@ func (s *Server) govern(w http.ResponseWriter, r *http.Request, next func(*http.
 // attempts fail fast with resilience.ErrBreakerOpen and never touch the
 // manager.
 func (s *Server) ReloadModel(path string) (uint64, error) {
-	if err := s.breaker.Allow(); err != nil {
-		s.metrics.Counter("model_breaker_rejections_total").Inc()
-		return s.models.Generation(), err
-	}
-	gen, err := s.reloadOnce(path)
-	s.breaker.Record(err)
+	gen := s.models.Generation()
+	err := s.controlGuard(func() error {
+		if err := s.faults.Inject(FaultReload); err != nil {
+			return err
+		}
+		var err error
+		gen, err = s.models.ReloadFromFile(path)
+		return err
+	})
 	return gen, err
 }
 
-func (s *Server) reloadOnce(path string) (uint64, error) {
-	if err := s.faults.Inject(FaultReload); err != nil {
-		return s.models.Generation(), err
+// controlError answers a failed control-plane operation (model reload,
+// discovery refit, lifecycle action): an open breaker is 503 with a
+// Retry-After hint, a conflict 409, anything else failStatus. Each
+// message prefix names the operation for its case.
+func (s *Server) controlError(w http.ResponseWriter, err error, conflict bool, failStatus int, breakerOpen, rejected, failed string) {
+	switch {
+	case errors.Is(err, resilience.ErrBreakerOpen):
+		w.Header().Set("Retry-After", retryAfterSeconds(s.breaker.RetryAfter()))
+		s.writeError(w, http.StatusServiceUnavailable, "%s after repeated failures: %v", breakerOpen, err)
+	case conflict:
+		s.writeError(w, http.StatusConflict, "%s: %v", rejected, err)
+	default:
+		s.writeError(w, failStatus, "%s: %v", failed, err)
 	}
-	return s.models.ReloadFromFile(path)
 }

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -89,28 +88,29 @@ func New(store *warehouse.Store, model *core.JobClassifier, machineNodes int, op
 	s.mux.HandleFunc("GET /api/groupby", s.handleGroupBy)
 	s.mux.HandleFunc("GET /api/drilldown", s.handleDrillDown)
 	s.mux.HandleFunc("GET /api/utilization", s.handleUtilization)
-	s.mux.HandleFunc("GET /api/features", s.handleFeatures)
-	s.mux.HandleFunc("POST /api/classify", s.handleClassify)
+	s.mux.HandleFunc("GET /api/features", s.handleSchema(s.models, noClassifier))
+	s.mux.HandleFunc("POST /api/classify", serveRow(s, classifyEndpoint))
 	s.mux.HandleFunc("POST /api/classify/batch", s.handleClassifyBatch)
 	s.mux.HandleFunc("GET /api/discover", s.handleDiscoverGet)
 	s.mux.HandleFunc("POST /api/discover", s.handleDiscoverRefit)
-	s.mux.HandleFunc("POST /api/discover/assign", s.handleDiscoverAssign)
-	s.mux.HandleFunc("GET /api/runtime-class/features", s.handleRuntimeFeatures)
-	s.mux.HandleFunc("POST /api/runtime-class", s.handleRuntimeClass)
+	s.mux.HandleFunc("POST /api/discover/assign", serveRow(s, assignEndpoint))
+	s.mux.HandleFunc("GET /api/runtime-class/features", s.handleSchema(s.runtime, noRuntimeModel))
+	s.mux.HandleFunc("POST /api/runtime-class", serveRow(s, runtimeEndpoint))
 	s.mux.HandleFunc("POST /admin/model/reload", s.handleModelReload)
 	s.initLifecycle()
-	s.mux.HandleFunc("GET /api/lifecycle", s.handleLifecycleStatus)
-	s.mux.HandleFunc("POST /admin/lifecycle/retrain", s.handleLifecycleRetrain)
-	s.mux.HandleFunc("POST /admin/lifecycle/promote", s.handleLifecyclePromote)
-	s.mux.HandleFunc("POST /admin/lifecycle/rollback", s.handleLifecycleRollback)
+	// GET /api/lifecycle is the loop's full state snapshot (state machine,
+	// drift statistics, shadow ledger, transitions, last promotion
+	// decision); retrain forces a challenger retrain (drift need not have fired);
+	// promote runs the promotion gate now; rollback swaps the
+	// pre-promotion champion back in (one generation of history).
+	s.mux.HandleFunc("GET /api/lifecycle", s.lifecycleOp("status", nil))
+	s.mux.HandleFunc("POST /admin/lifecycle/retrain", s.lifecycleOp("retrain", (*lifecycle.Loop).Retrain))
+	s.mux.HandleFunc("POST /admin/lifecycle/promote", s.lifecycleOp("promote", (*lifecycle.Loop).Decide))
+	s.mux.HandleFunc("POST /admin/lifecycle/rollback", s.lifecycleOp("rollback", (*lifecycle.Loop).Rollback))
 	s.mountDebug()
 	s.handler = s.wrap(s.mux)
 	return s
 }
-
-// Models exposes the server's model manager (for boot-time loading and
-// signal-driven reloads).
-func (s *Server) Models() *core.ModelManager { return s.models }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -232,19 +232,27 @@ func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, pts)
 }
 
-func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
-	v := s.models.View()
-	if v == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no classifier loaded")
-		return
+// noClassifier is the 503 message of every app-classifier endpoint.
+const noClassifier = "no classifier loaded"
+
+// handleSchema serves a JobClassifier manager's schema (GET
+// /api/features, GET /api/runtime-class/features) so clients and the
+// load generator can build valid request bodies.
+func (s *Server) handleSchema(m *core.ModelManager, noModel string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v := m.View()
+		if v == nil {
+			s.writeError(w, http.StatusServiceUnavailable, "%s", noModel)
+			return
+		}
+		s.writeJSON(w, http.StatusOK, map[string]any{
+			"algorithm":  v.Model.Algo,
+			"features":   v.Model.Features,
+			"classes":    v.Model.Classes(),
+			"generation": v.Generation,
+			"compiled":   v.Compiled(),
+		})
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"algorithm":  v.Model.Algo,
-		"features":   v.Model.Features,
-		"classes":    v.Model.Classes(),
-		"generation": v.Generation,
-		"compiled":   v.Compiled(),
-	})
 }
 
 // classifyRequest is the classification endpoint's body: a feature map
@@ -255,6 +263,8 @@ type classifyRequest struct {
 	Features  map[string]float64 `json:"features"`
 	Threshold float64            `json:"threshold"`
 }
+
+func (q classifyRequest) featureMap() map[string]float64 { return q.Features }
 
 // classifyResult is one row's classification. The single and batch
 // endpoints share it, so a batch element is byte-identical to the
@@ -271,117 +281,43 @@ type classifyResult struct {
 // misrouted and is rejected before the JSON decoder buffers it.
 const maxClassifyBody = 1 << 20
 
-// resolveRow maps a name-keyed feature map onto the model's feature
-// vector using the view's prebuilt index: O(F + len(features)) total,
-// replacing the old per-attribute linear scan over Features (O(F^2) for
-// a full request). defaulted lists model features absent from the
-// request (in model feature order); unknown lists request keys the model
-// does not recognize.
-func resolveRow(v *core.ModelView, features map[string]float64) (row []float64, defaulted, unknown []string) {
-	row = make([]float64, v.NumFeatures())
-	defaulted = []string{}
-	for name, val := range features {
-		idx, ok := v.FeatureIndex(name)
-		if !ok {
-			unknown = append(unknown, name)
-			continue
-		}
-		row[idx] = val
+// checkThreshold validates a request's probability threshold.
+func checkThreshold(t float64) error {
+	if t < 0 || t > 1 {
+		return errors.New("threshold must be in [0,1]")
 	}
-	for _, name := range v.Model.Features {
-		if _, ok := features[name]; !ok {
-			defaulted = append(defaulted, name)
-		}
-	}
-	return row, defaulted, unknown
+	return nil
 }
 
-// classifyRow runs one resolved row through the model, recording the
-// per-row outcome counter and latency histogram. It honours the request
-// deadline and the classify.row fault site: an expired context aborts
-// the row before inference (callers map it to 504), an injected error
-// fails it, and an injected panic propagates so the isolation layers
-// (pool PanicError for batch, middleware recovery for single) can prove
-// they contain it.
+type classifyCall = rowCall[*core.JobClassifier, classifyRequest]
+
+// classifyEndpoint is POST /api/classify: the app label and its
+// probability, thresholded. Every successfully inferred row also feeds
+// the lifecycle loop; the served answer is already final by then, so
+// drift accounting and shadow scoring cannot perturb it (nil-safe no-op
+// when the loop is disabled).
+var classifyEndpoint = &rowEndpoint[*core.JobClassifier, classifyRequest, classifyResult]{
+	rowKind:  rowKind{"classify_outcomes_total", FaultClassifyRow, "classify_row_seconds"},
+	noModel:  noClassifier,
+	view:     func(s *Server) *core.ModelView { return s.models.View() },
+	validate: func(c *classifyCall) error { return checkThreshold(c.req.Threshold) },
+	infer: func(c *classifyCall) (classifyResult, string, error) {
+		label, prob, ok := c.view.Model.Classify(c.row, c.req.Threshold)
+		res := classifyResult{Label: label, Probability: prob, Classified: ok, Defaulted: c.defaulted}
+		if ok {
+			return res, "classified", nil
+		}
+		return res, "below_threshold", nil
+	},
+	observe: func(s *Server, c *classifyCall, res classifyResult) { s.lifecycle.Observe(c.ctx, c.row, res.Label) },
+	respond: func(_ *classifyCall, res classifyResult) any { return res },
+}
+
+// classifyRow runs one resolved batch row through the per-row steps of
+// the classify endpoint, so a batch element is scored exactly as the
+// same row posted alone.
 func (s *Server) classifyRow(ctx context.Context, v *core.ModelView, row []float64, defaulted []string, threshold float64) (classifyResult, error) {
-	if fired, err := s.faults.InjectReport(FaultClassifyRow); fired {
-		// Injected latency and errors alike are fault hits the wide
-		// event attributes; a fired latency fault falls through to real
-		// inference with err == nil.
-		flight.From(ctx).MarkFault()
-		if err != nil {
-			s.classifyOutcome("error")
-			return classifyResult{}, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		s.classifyOutcome("timeout")
-		return classifyResult{}, err
-	}
-	start := time.Now()
-	label, prob, ok := v.Model.Classify(row, threshold)
-	s.metrics.Histogram("classify_row_seconds", rowLatencyBuckets()).ObserveDuration(start)
-	if ok {
-		s.classifyOutcome("classified")
-	} else {
-		s.classifyOutcome("below_threshold")
-	}
-	// The lifecycle loop observes every successfully inferred row: the
-	// served answer above is already final, so drift accounting and
-	// shadow scoring cannot perturb it (nil-safe no-op when disabled).
-	s.lifecycle.Observe(ctx, row, label)
-	return classifyResult{Label: label, Probability: prob, Classified: ok, Defaulted: defaulted}, nil
-}
-
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	v := s.models.View()
-	if v == nil {
-		s.classifyOutcome("no_model")
-		s.writeError(w, http.StatusServiceUnavailable, "no classifier loaded")
-		return
-	}
-	v.Annotate(flight.From(r.Context()))
-	r.Body = http.MaxBytesReader(w, r.Body, maxClassifyBody)
-	var req classifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.classifyOutcome("oversized")
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Threshold < 0 || req.Threshold > 1 {
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "threshold must be in [0,1]")
-		return
-	}
-	if len(req.Features) == 0 {
-		// An empty map would silently classify an all-zero row; reject it
-		// so schema drift on the client shows up as an error, not as a
-		// confident nonsense label.
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "empty or missing features map")
-		return
-	}
-	row, defaulted, unknown := resolveRow(v, req.Features)
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		s.classifyOutcome("bad_request")
-		s.writeError(w, http.StatusBadRequest, "unknown features: %v", unknown)
-		return
-	}
-	// Observe the single row's inference time into the wide event the
-	// same way the batch fan-out does, so RowNS/Rows mean one thing.
-	rowStart := time.Now()
-	res, err := s.classifyRow(r.Context(), v, row, defaulted, req.Threshold)
-	flight.From(r.Context()).Timer().Observe(time.Since(rowStart))
-	if err != nil {
-		s.rowError(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, res)
+	return runRow(s, classifyEndpoint, &classifyCall{
+		ctx: ctx, view: v, req: classifyRequest{Threshold: threshold}, row: row, defaulted: defaulted,
+	})
 }
